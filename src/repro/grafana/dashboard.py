@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from repro.common.errors import NotFoundError, ValidationError
 
@@ -16,12 +16,16 @@ class Panel(Protocol):
 class Dashboard:
     """One dashboard: ordered panels rendered over a shared time window."""
 
-    def __init__(self, name: str, uid: str | None = None) -> None:
+    def __init__(
+        self, name: str, uid: str | None = None, panels: Iterable[Panel] = ()
+    ) -> None:
         if not name:
             raise ValidationError("dashboard needs a name")
         self.name = name
         self.uid = uid or name.lower().replace(" ", "-")
         self._panels: list[Panel] = []
+        for panel in panels:
+            self.add_panel(panel)
 
     def add_panel(self, panel: Panel) -> None:
         if any(p.title == panel.title for p in self._panels):

@@ -72,6 +72,8 @@ class _CacheKey:
     #: boundaries move, and a stale differently-split window must miss
     #: rather than alias a new one that happens to share its endpoints.
     split_ns: int = 0
+    #: Offset of the evaluation grid (instants are phase + k*step).
+    phase_ns: int = 0
 
 
 class QueryFrontend:
@@ -252,10 +254,10 @@ class QueryFrontend:
         phase: int,
         tenant: str | None,
     ) -> list[Series]:
-        # The phase keys the evaluation grid (instants are phase + k*step),
-        # so differently-phased dashboards never share cache entries.
+        # The raw window plus the phase: two ranges on different grids
+        # never share an entry, even when they differ by less than a step.
         key = _CacheKey(
-            query, start_ns - phase, end_ns - phase, step_ns, tenant, self._split_ns
+            query, start_ns, end_ns, step_ns, tenant, self._split_ns, phase
         )
         cached = self._cache.get(key)
         if cached is not None:

@@ -120,7 +120,7 @@ class LogQLEngine:
         if self._patterns is None:
             raise QueryError(
                 "detected_patterns requires pattern mining "
-                "(enable_pattern_mining / REPRO_PATTERNS=1)"
+                "(enable_pattern_mining / REPRO_PLANES=patterns)"
             )
         expr = parse(selector) if isinstance(selector, str) else selector
         if not isinstance(expr, LogPipeline) or expr.stages:

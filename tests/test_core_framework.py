@@ -1,12 +1,19 @@
 """Tests for the assembled framework and the k3s consumers."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.common.simclock import minutes, seconds
 from repro.cluster.faults import FaultKind
 from repro.cluster.topology import ClusterSpec
-from repro.core.framework import FrameworkConfig, MonitoringFramework
+from repro.core.framework import (
+    PLANES,
+    FrameworkConfig,
+    MonitoringFramework,
+    planes_from_env,
+)
 from repro.core.remediation import AutoRemediator
 from repro.servicenow.incidents import IncidentState
 from repro.workloads.loggen import SyslogGenerator
@@ -24,10 +31,60 @@ def fw(small_config):
     return MonitoringFramework(small_config)
 
 
+INTERVAL_FIELDS = [
+    f.name for f in dataclasses.fields(FrameworkConfig)
+    if f.name.endswith("_interval_ns")
+]
+
+
 class TestConfig:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValidationError):
             FrameworkConfig(ruler_interval_ns=0)
+
+    @pytest.mark.parametrize("name", INTERVAL_FIELDS)
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_every_interval_must_be_positive(self, name, value):
+        """Checked whether or not the owning plane is on: a zero interval
+        would otherwise pass here and crash ``start()`` in the clock."""
+        with pytest.raises(ValidationError, match=name):
+            FrameworkConfig(**{name: value})
+
+
+class TestPlanesEnv:
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.token)
+    def test_single_token_turns_on_only_that_plane(self, monkeypatch, plane):
+        monkeypatch.setenv("REPRO_PLANES", plane.token)
+        cfg = FrameworkConfig()
+        assert {p.flag for p in PLANES if getattr(cfg, p.flag)} == {plane.flag}
+
+    def test_all_turns_on_every_plane(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PLANES", "all")
+        cfg = FrameworkConfig()
+        assert all(getattr(cfg, p.flag) for p in PLANES)
+
+    def test_tokens_combine_and_tolerate_spaces(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PLANES", " ring, slo ,")
+        assert planes_from_env() == {"ring", "slo"}
+
+    @pytest.mark.parametrize("value", [None, "", " , "])
+    def test_empty_or_unset_turns_on_nothing(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("REPRO_PLANES", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_PLANES", value)
+        cfg = FrameworkConfig()
+        assert not any(getattr(cfg, p.flag) for p in PLANES)
+
+    @pytest.mark.parametrize("value", ["rings", "ring,bogus", "all,ring", "1"])
+    def test_unknown_token_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_PLANES", value)
+        with pytest.raises(ValidationError, match="REPRO_PLANES"):
+            FrameworkConfig()
+
+    def test_explicit_flag_beats_the_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PLANES", "all")
+        assert not FrameworkConfig(enable_slo=False).enable_slo
 
 
 class TestPipeline:

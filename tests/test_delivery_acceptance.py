@@ -207,8 +207,8 @@ class TestModeParity:
         legacy = MonitoringFramework(
             FrameworkConfig(
                 cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=1),
-                # Pin explicitly: the REPRO_RELIABLE_DELIVERY env var (the
-                # CI reliable-delivery leg) flips the config default.
+                # Pin explicitly: REPRO_PLANES=delivery (the CI
+                # reliable-delivery leg) flips the config default.
                 enable_reliable_delivery=False,
             )
         )

@@ -133,6 +133,25 @@ class TestCaching:
         assert b == direct
         assert a != b
 
+    def test_sub_step_offsets_inside_one_window_never_alias(self):
+        """Two ranges inside one split window, offset by less than a step,
+        evaluate on different grids and must each match the engine."""
+        clock = SimClock(0)
+        store = LokiStore()
+        store.push(PushRequest.single(
+            {"app": "fm"}, [(seconds(i), f"line {i}") for i in range(0, 3600, 3)]
+        ))
+        clock.advance(hours(2))
+        engine = LogQLEngine(store)
+        frontend = QueryFrontend(engine, clock, split_ns=hours(1))
+        query = 'sum(count_over_time({app="fm"}[20s]))'
+        t = minutes(10)
+        for start in (t + seconds(5), t + seconds(7)):
+            end = start + minutes(6)
+            direct = engine.query_range(query, start, end, seconds(30))
+            assert frontend.query_range(query, start, end, seconds(30)) == direct
+        assert frontend.cache_hits == 0
+
 
 class TestLruEviction:
     """The cache is true LRU: a hit refreshes recency, so the hot entry

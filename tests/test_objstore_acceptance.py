@@ -41,7 +41,7 @@ def ingest(fw, n, tag="acc"):
 
 class TestConfig:
     def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBJECT_STORAGE", raising=False)
+        monkeypatch.delenv("REPRO_PLANES", raising=False)
         fw = MonitoringFramework(
             FrameworkConfig(
                 cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=2)
@@ -51,7 +51,7 @@ class TestConfig:
         assert "objstore" not in fw.dashboards
 
     def test_env_flag_flips_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBJECT_STORAGE", "1")
+        monkeypatch.setenv("REPRO_PLANES", "objstore")
         assert FrameworkConfig().enable_object_storage
 
     def test_validation(self):

@@ -42,7 +42,7 @@ def storm_world():
 
 class TestConfig:
     def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PATTERNS", raising=False)
+        monkeypatch.delenv("REPRO_PLANES", raising=False)
         fw = MonitoringFramework(
             FrameworkConfig(
                 cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=2)
@@ -53,7 +53,7 @@ class TestConfig:
         assert "patterns" not in fw.dashboards
 
     def test_env_flag_flips_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PATTERNS", "1")
+        monkeypatch.setenv("REPRO_PLANES", "patterns")
         assert FrameworkConfig().enable_pattern_mining
 
     def test_validation(self):
@@ -170,7 +170,7 @@ class TestQueryPath:
         assert "I/O error on dev sda, sector <*>" in out
 
     def test_detected_patterns_disabled_is_query_error(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PATTERNS", raising=False)
+        monkeypatch.delenv("REPRO_PLANES", raising=False)
         fw = MonitoringFramework(
             FrameworkConfig(
                 cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=2)

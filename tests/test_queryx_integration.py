@@ -1,6 +1,6 @@
 """Framework integration for the query engine: wiring, metrics, alerts.
 
-REPRO_QUERY_ENGINE=1 (or ``enable_query_engine=True``) must compose with
+REPRO_PLANES=queryx (or ``enable_query_engine=True``) must compose with
 the other feature planes: the exporter lands queryx metrics in the TSDB
 through vmagent, the SlowQueries rule fires off the recent-delta gauge
 and self-resolves, dashboards render, and with multi-tenancy on the

@@ -216,8 +216,8 @@ class TestWiring:
         assert "selfheal" not in fw.dashboards
 
     def test_flag_without_ring_is_a_noop(self):
-        """The CI leg exports REPRO_SELF_HEAL=1 and runs the *whole*
-        suite: configs without an ingest ring must still build."""
+        """A CI leg exports REPRO_PLANES=selfheal and runs whole test
+        files: configs without an ingest ring must still build."""
         fw = MonitoringFramework(
             FrameworkConfig(
                 cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=2),
@@ -228,9 +228,9 @@ class TestWiring:
         assert fw.selfheal is None
 
     def test_env_flag_flips_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SELF_HEAL", "1")
+        monkeypatch.setenv("REPRO_PLANES", "selfheal")
         assert FrameworkConfig().enable_self_healing
-        monkeypatch.setenv("REPRO_SELF_HEAL", "0")
+        monkeypatch.setenv("REPRO_PLANES", "")
         assert not FrameworkConfig().enable_self_healing
 
     def test_exporters_and_dashboard_render(self):

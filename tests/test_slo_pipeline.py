@@ -32,7 +32,7 @@ def make_framework(**overrides):
 
 class TestWiring:
     def test_disabled_without_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SLO", raising=False)
+        monkeypatch.delenv("REPRO_PLANES", raising=False)
         cfg = FrameworkConfig(
             cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=1)
         )
@@ -43,7 +43,7 @@ class TestWiring:
         assert "slo" not in fw.dashboards
 
     def test_env_flag_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLO", "1")
+        monkeypatch.setenv("REPRO_PLANES", "slo")
         cfg = FrameworkConfig(
             cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=1)
         )
